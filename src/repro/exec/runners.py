@@ -69,6 +69,10 @@ _MSG_TELEMETRY = "tel"
 #: the worker as crashed — fail loud, never wedge the drain loop.
 _KNOWN_TAGS = frozenset({_MSG_HEARTBEAT, _MSG_RESULT, _MSG_TELEMETRY})
 
+#: How long ``poll()`` waits for a child whose pipe hit EOF to finish
+#: exiting, so its crash is reported with the exit code.
+_EXIT_GRACE_S = 0.5
+
 
 def _count_unknown_skipped() -> None:
     from ..core.instrument import default_registry
@@ -473,6 +477,13 @@ class ProcessPoolRunner:
                 f"unrecognized worker message {message!r}",
                 now,
             )
+        if pipe_broken and alive:
+            # EOF with no result from a child sampled alive: it closed
+            # the pipe on its way out between the sample and the drain.
+            # Give it a bounded moment to finish exiting so the crash
+            # carries its exit code.
+            run.process.join(_EXIT_GRACE_S)
+            alive = run.process.is_alive()
         if not alive:
             # Died without a result: a hard crash (segfault, os._exit,
             # OOM kill).  Classified immediately on this poll — a dead

@@ -100,6 +100,13 @@ class ServerThread:
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._boot_error: Optional[BaseException] = None
+        # Shutdown state is owned by the loop thread: ``stop()`` only
+        # posts a plain callback resolving ``_stop_request`` (with the
+        # drain budget), the loop itself awaits ``drain()``, and
+        # ``_exited`` is set once the loop has closed.
+        self._stop_request: Optional[asyncio.Future] = None
+        self._drained = True
+        self._exited = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -131,8 +138,24 @@ class ServerThread:
                 self._boot_error = exc
                 self._started.set()
                 raise
+            request = loop.create_future()
+            self._stop_request = request
             self._started.set()
-            await self.app.serve_until_stopped()
+            serving = asyncio.ensure_future(self.app.serve_until_stopped())
+            try:
+                await asyncio.wait(
+                    {serving, request}, return_when=asyncio.FIRST_COMPLETED
+                )
+                if request.done():
+                    self._drained = False
+                    self._drained = await self.app.drain(request.result())
+                # Returns once whichever drain is in progress (this one
+                # or one started elsewhere) has finished.
+                await serving
+            finally:
+                if not serving.done():
+                    serving.cancel()
+                    await asyncio.gather(serving, return_exceptions=True)
 
         try:
             loop.run_until_complete(_main())
@@ -140,26 +163,33 @@ class ServerThread:
             pass
         finally:
             loop.close()
+            self._exited.set()
+
+    def _request_stop(self, drain_budget_s: float) -> None:
+        request = self._stop_request
+        if request is not None and not request.done():
+            request.set_result(drain_budget_s)
 
     def stop(self, drain: bool = True) -> bool:
-        """Drain (optionally) and stop; returns True on a clean drain."""
+        """Drain (optionally) and stop; returns True on a clean drain.
+
+        Idempotent, and safe against a server that is already stopping
+        on its own (a selftest-driven drain, a signal): the loop thread
+        runs the drain, so nothing is ever handed to a loop that exits
+        before running it.
+        """
         if self._loop is None or self._thread is None:
             return True
-        if self._loop.is_closed() or not self._thread.is_alive():
-            # Something else (a selftest-driven drain, a signal) already
-            # stopped the server; there is nothing left to wind down.
-            self._thread.join(timeout=10.0)
-            return True
-        try:
-            fut = asyncio.run_coroutine_threadsafe(
-                self.app.drain(self.drain_timeout_s if drain else 0.0),
-                self._loop,
-            )
-            drained = fut.result(timeout=self.drain_timeout_s + 10.0)
-        except Exception:
-            drained = False
-        self._thread.join(timeout=10.0)
-        return drained
+        if not self._exited.is_set():
+            try:
+                self._loop.call_soon_threadsafe(
+                    self._request_stop,
+                    self.drain_timeout_s if drain else 0.0,
+                )
+            except RuntimeError:  # the loop closed since the check
+                pass
+        self._thread.join(timeout=self.drain_timeout_s + 10.0)
+        return self._drained and not self._thread.is_alive()
 
     def __enter__(self) -> "ServerThread":
         return self.start()

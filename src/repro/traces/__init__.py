@@ -15,9 +15,12 @@ replay-a-workload tools (ROADMAP item 5):
 * :mod:`repro.traces.stats` — drmemtrace-style online interval
   statistics, chunk-size invariant by construction.
 * :mod:`repro.traces.replay` — sinks that feed traces into the
-  existing simulators through ``schedule_batch`` + macro twins, so the
-  kernel fast paths apply to replayed traffic, with a deterministic
-  :meth:`ReplayResult.digest` for cross-mode/cross-backend parity.
+  existing simulators, with a deterministic :meth:`ReplayResult.digest`
+  for cross-mode/cross-backend parity.  Sinks with feedback (``noc``,
+  the queue's ``jsq`` policy) run on the event kernel through
+  ``schedule_batch`` + macro twins; feedforward sinks (the queue's
+  static policies, ``cpu``, ``memory``, ``wear``) run as array programs
+  over the records.
 
 The scenario library (:mod:`repro.scenarios`) names bundles of
 generator + sink + params and pins their digests.

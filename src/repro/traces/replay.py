@@ -2,12 +2,23 @@
 
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
-(:mod:`repro.traces.format`) through the kernel.  Replay goes in
-through :meth:`Simulator.schedule_batch`, and each sink's per-record
-handler carries a macro batch twin (:func:`repro.core.macro.as_macro`),
-so the PR8 fast-path drains apply to replayed traffic exactly as they
-do to synthetic traffic — ``REPRO_FASTPATH=off|auto|on`` produce
-byte-identical results, which the golden suite pins per scenario.
+(:mod:`repro.traces.format`).  The event kernel is used only where a
+model feeds back into its own event stream:
+
+* on the kernel — ``noc`` (every hop schedules the next) and the
+  ``queue`` sink's ``jsq`` policy (completions change the queue depths
+  the next arrival reads).  Both bulk-load the trace with
+  :meth:`Simulator.schedule_batch` and carry macro batch twins
+  (:func:`repro.core.macro.as_macro`), so ``REPRO_FASTPATH=off|auto|on``
+  produce byte-identical results.
+* as array programs — the ``queue`` sink's static policies
+  (``rr``/``target``/``client``), ``cpu``, ``memory`` and ``wear``.
+  Nothing they compute schedules an event, so they run directly over
+  the record arrays.  They visit records in exactly the kernel's
+  ``(ts, seq)`` order, keep the event-driven model's per-record float
+  operation order, and reject a timestamp before 0 with the kernel's
+  ``ValueError``; ``tests/traces/test_array_sinks.py`` checks them
+  for exact equality against event-driven handlers.
 
 Sinks (:data:`SINKS`):
 
@@ -18,8 +29,7 @@ Sinks (:data:`SINKS`):
   :class:`repro.interconnect.noc.MeshNoC` with a pluggable route
   function (the routing championship's plug point).
 * ``memory``  — memory records through a
-  :class:`repro.memory.hierarchy.MemoryHierarchy` level walk, one
-  kernel event per access.
+  :class:`repro.memory.hierarchy.MemoryHierarchy` level walk.
 * ``wear``    — memory-record write streams against a
   :class:`repro.memory.wear.WearLeveler` (the wear championship's plug
   point).
@@ -141,12 +151,118 @@ def _quantiles(values: np.ndarray) -> Dict[str, float]:
     }
 
 
+def _visit_order(arr: np.ndarray) -> Optional[np.ndarray]:
+    """The order in which the event kernel would visit ``arr``'s records.
+
+    A train scheduled in array order pops in ``(ts, seq)`` order: array
+    order when timestamps are nondecreasing (returns ``None``), else the
+    stable argsort of the timestamps.  A timestamp before 0 raises the
+    kernel's own ``ValueError``, so the array programs below reject
+    exactly the traces the kernel rejects.
+    """
+    ts = np.asarray(arr["ts"], dtype=float)
+    if len(ts) == 0:
+        return None
+    if ts.min() < 0.0:
+        bad = float(ts[ts < 0.0][0])
+        raise ValueError(f"cannot schedule at {bad} before current time 0.0")
+    if len(ts) > 1 and (np.diff(ts) < 0).any():
+        return np.argsort(ts, kind="stable")
+    return None
+
+
 # -- queue sink ------------------------------------------------------------
 
 #: Deterministic scheduling policies for the queue sink.  All are pure
 #: functions of replay state (no RNG at replay time), so every policy
 #: digests stably — the property the scheduling championship scores on.
 QUEUE_POLICIES = ("rr", "target", "client", "jsq")
+
+
+def _queue_static(arr: np.ndarray, n_servers: int, policy: str):
+    """rr/target/client: the server choice never looks at queue state,
+    so one pass over the records in visit order is the whole model."""
+    n = len(arr)
+    order = _visit_order(arr)
+    rec = arr if order is None else arr[order]
+    if policy == "rr":
+        srvs = np.arange(n) % n_servers
+    else:
+        srvs = rec[policy] % n_servers
+    service = rec["service_us"] * 1e-6
+    free_at = [0.0] * n_servers
+    lat = []
+    append = lat.append
+    for t, svc, srv in zip(rec["ts"].tolist(), service.tolist(), srvs.tolist()):
+        f = free_at[srv]
+        finish = (t if t > f else f) + svc
+        free_at[srv] = finish
+        append(finish - t)
+    latencies = np.empty(n)
+    latencies[slice(None) if order is None else order] = lat  # record order
+    # ``add.accumulate`` sums strictly left to right, as the per-record
+    # ``busy += service`` of the event-driven model does.
+    busy = float(np.add.accumulate(service)[-1]) if n else 0.0
+    served = np.bincount(srvs, minlength=n_servers).tolist()
+    return latencies, served, busy, free_at
+
+
+def _queue_jsq(arr: np.ndarray, sim: Simulator, n_servers: int):
+    """Join-shortest-queue consults live queue depths, so completions
+    are kernel events and arrivals drain through the macro twin."""
+    n = len(arr)
+    service = (arr["service_us"] * 1e-6).tolist()
+    free_at = [0.0] * n_servers
+    qlen = [0] * n_servers
+    served = [0] * n_servers
+    latencies = np.empty(n)
+    busy = 0.0
+
+    def complete(s: Simulator, server: int) -> None:
+        qlen[server] -= 1
+
+    def arrive(s: Simulator, i: int) -> None:
+        nonlocal busy
+        t = s.now
+        srv = qlen.index(min(qlen))
+        f = free_at[srv]
+        finish = (t if t > f else f) + service[i]
+        free_at[srv] = finish
+        served[srv] += 1
+        busy += service[i]
+        latencies[i] = finish - t
+        qlen[srv] += 1
+        s.schedule_at(finish, complete, srv, cancellable=False)
+
+    def arrive_batch(s: Simulator, run) -> int:
+        # Macro twin (contract: repro.core.macro).  Stops at the
+        # earliest completion it scheduled (ties safe: pre-scheduled
+        # arrivals carry older seqs than any completion scheduled
+        # in-batch).
+        nonlocal busy
+        horizon = float("inf")
+        k = 0
+        for t, i in run:
+            if t > horizon:
+                break
+            srv = qlen.index(min(qlen))
+            f = free_at[srv]
+            finish = (t if t > f else f) + service[i]
+            free_at[srv] = finish
+            served[srv] += 1
+            busy += service[i]
+            latencies[i] = finish - t
+            qlen[srv] += 1
+            s.schedule_at(finish, complete, srv, cancellable=False)
+            if finish < horizon:
+                horizon = finish
+            k += 1
+        return k
+
+    as_macro(arrive, arrive_batch)
+    sim.schedule_batch(arr["ts"], arrive, payloads=range(n))
+    sim.run()
+    return latencies, served, busy, free_at
 
 
 def _replay_queue(
@@ -164,87 +280,11 @@ def _replay_queue(
         raise ValueError("need at least one server")
     arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     n = len(arr)
-    times = arr["ts"].tolist()
-    service = (arr["service_us"] * 1e-6).tolist()
-    targets = arr["target"].tolist()
-    clients = arr["client"].tolist()
-
-    free_at = [0.0] * n_servers
-    qlen = [0] * n_servers
-    served = [0] * n_servers
-    latencies = np.empty(n)
-    rr = 0
-    busy = 0.0
-    # Only join-shortest-queue consults live queue depths, so only it
-    # needs completion events; the static policies replay as one pure
-    # arrival train the macro twin drains in a single call.
-    need_qlen = policy == "jsq"
-
-    def complete(s: Simulator, server: int) -> None:
-        qlen[server] -= 1
-
-    def arrive(s: Simulator, i: int) -> None:
-        nonlocal rr, busy
-        t = s.now
-        if policy == "rr":
-            srv = rr
-            rr = (rr + 1) % n_servers
-        elif policy == "target":
-            srv = targets[i] % n_servers
-        elif policy == "client":
-            srv = clients[i] % n_servers
-        else:  # jsq
-            srv = qlen.index(min(qlen))
-        f = free_at[srv]
-        finish = (t if t > f else f) + service[i]
-        free_at[srv] = finish
-        served[srv] += 1
-        busy += service[i]
-        latencies[i] = finish - t
-        if need_qlen:
-            qlen[srv] += 1
-            s.schedule_at(finish, complete, srv, cancellable=False)
-
-    def arrive_batch(s: Simulator, run) -> int:
-        # Macro twin (contract: repro.core.macro).  Static policies
-        # schedule nothing, so the hazard horizon stays infinite and
-        # the whole train drains here; jsq stops at the earliest
-        # completion it scheduled (ties safe: pre-scheduled arrivals
-        # carry older seqs than any completion scheduled in-batch).
-        nonlocal rr, busy
-        horizon = float("inf")
-        k = 0
-        for t, i in run:
-            if t > horizon:
-                break
-            if policy == "rr":
-                srv = rr
-                rr = (rr + 1) % n_servers
-            elif policy == "target":
-                srv = targets[i] % n_servers
-            elif policy == "client":
-                srv = clients[i] % n_servers
-            else:
-                srv = qlen.index(min(qlen))
-            f = free_at[srv]
-            finish = (t if t > f else f) + service[i]
-            free_at[srv] = finish
-            served[srv] += 1
-            busy += service[i]
-            latencies[i] = finish - t
-            if need_qlen:
-                qlen[srv] += 1
-                s.schedule_at(finish, complete, srv, cancellable=False)
-                if finish < horizon:
-                    horizon = finish
-            k += 1
-        return k
-
-    as_macro(arrive, arrive_batch)
-    sim.schedule_batch(arr["ts"], arrive, payloads=range(n))
-    sim.run()
-
-    makespan = max(max(free_at), times[-1]) if n else 0.0
+    if policy == "jsq":
+        latencies, served, busy, free_at = _queue_jsq(arr, sim, n_servers)
+    else:
+        latencies, served, busy, free_at = _queue_static(arr, n_servers, policy)
+    makespan = max(max(free_at), float(arr["ts"][-1])) if n else 0.0
     return {
         "policy": policy,
         "n_servers": n_servers,
@@ -334,68 +374,41 @@ def _replay_memory(
     specs = default_hierarchy()
     hierarchy = MemoryHierarchy(specs)
     hierarchy.reset()
-    caches = hierarchy.caches
+    accesses = [c.access for c in hierarchy.caches]
     latencies = [s.latency_cycles for s in specs]
     mem_latency = hierarchy.memory.latency_cycles
     n_levels = len(specs)
 
     arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    order = _visit_order(arr)
+    if order is not None:
+        arr = arr[order]
     n = len(arr)
-    addrs = arr["addr"].astype(np.int64).tolist()
-    writes = arr["op"].tolist()
 
+    # The level walk feeds nothing back into the arrival stream, so the
+    # whole reference train is one loop in visit order.
     level_hits = [0] * n_levels
-    state = {"cycles": 0, "memory_accesses": 0}
-
-    def access(s: Simulator, i: int) -> None:
-        addr = addrs[i]
-        w = bool(writes[i])
-        cycles = state["cycles"]
+    cycles = 0
+    mem = 0
+    for addr, w in zip(arr["addr"].astype(np.int64).tolist(),
+                       (arr["op"] != 0).tolist()):
         for lvl in range(n_levels):
             cycles += latencies[lvl]
-            if caches[lvl].access(addr, is_write=w):
+            if accesses[lvl](addr, w):
                 level_hits[lvl] += 1
                 break
         else:
-            state["memory_accesses"] += 1
+            mem += 1
             cycles += mem_latency
-        state["cycles"] = cycles
-
-    def access_batch(s: Simulator, run) -> int:
-        # Macro twin: the level walk schedules nothing, so the hazard
-        # horizon is infinite and the whole reference train drains in
-        # one call — this is where replay throughput comes from.
-        cycles = state["cycles"]
-        mem = state["memory_accesses"]
-        k = 0
-        for _t, i in run:
-            addr = addrs[i]
-            w = bool(writes[i])
-            for lvl in range(n_levels):
-                cycles += latencies[lvl]
-                if caches[lvl].access(addr, is_write=w):
-                    level_hits[lvl] += 1
-                    break
-            else:
-                mem += 1
-                cycles += mem_latency
-            k += 1
-        state["cycles"] = cycles
-        state["memory_accesses"] = mem
-        return k
-
-    as_macro(access, access_batch)
-    sim.schedule_batch(arr["ts"], access, payloads=range(n))
-    sim.run()
 
     return {
         "accesses": n,
         "level_hits": {
             specs[i].name: level_hits[i] for i in range(n_levels)
         },
-        "memory_accesses": state["memory_accesses"],
-        "total_cycles": state["cycles"],
-        "amat_cycles": state["cycles"] / n if n else 0.0,
+        "memory_accesses": mem,
+        "total_cycles": cycles,
+        "amat_cycles": cycles / n if n else 0.0,
     }
 
 
@@ -466,62 +479,31 @@ def _replay_cpu(
     0 ALU, 1 load, 2 store, 3 branch.  A consumer of the previous
     load's destination stalls ``load_latency - 1`` cycles; every branch
     pays ``branch_penalty`` pipeline bubbles.  Simple, but enough to
-    rank instruction mixes, and fully deterministic.
+    rank instruction mixes, and fully deterministic.  Every hazard is a
+    function of one record and its predecessor in visit order, so the
+    model is a handful of integer array operations.
     """
     arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    order = _visit_order(arr)
+    if order is not None:
+        arr = arr[order]
     n = len(arr)
-    ops = arr["op"].tolist()
-    dsts = arr["dst"].tolist()
-    src1s = arr["src1"].tolist()
-    src2s = arr["src2"].tolist()
-
-    state = {"cycles": 0, "stalls": 0, "branches": 0,
-             "loads": 0, "stores": 0, "last_load_dst": -1}
-
-    def step(i: int) -> None:
-        op = ops[i]
-        cycles = 1
-        last = state["last_load_dst"]
-        if last >= 0 and (src1s[i] == last or src2s[i] == last):
-            stall = load_latency - 1
-            cycles += stall
-            state["stalls"] += stall
-        if op == 1:
-            state["loads"] += 1
-            state["last_load_dst"] = dsts[i]
-        else:
-            state["last_load_dst"] = -1
-            if op == 2:
-                state["stores"] += 1
-            elif op == 3:
-                state["branches"] += 1
-                cycles += branch_penalty
-        state["cycles"] += cycles
-
-    def retire(s: Simulator, i: int) -> None:
-        step(i)
-
-    def retire_batch(s: Simulator, run) -> int:
-        # Schedules nothing -> infinite horizon -> whole train per call.
-        k = 0
-        for _t, i in run:
-            step(i)
-            k += 1
-        return k
-
-    as_macro(retire, retire_batch)
-    sim.schedule_batch(arr["ts"], retire, payloads=range(n))
-    sim.run()
-
-    cycles = state["cycles"]
+    ops = arr["op"]
+    dst = arr["dst"][:-1]
+    load_use = (ops[:-1] == 1) & (
+        (arr["src1"][1:] == dst) | (arr["src2"][1:] == dst)
+    )
+    branches = int(np.count_nonzero(ops == 3))
+    stalls = int(np.count_nonzero(load_use)) * (load_latency - 1)
+    cycles = n + stalls + branches * branch_penalty
     return {
         "instructions": n,
         "cycles": cycles,
         "ipc": n / cycles if cycles else 0.0,
-        "stall_cycles": state["stalls"],
-        "loads": state["loads"],
-        "stores": state["stores"],
-        "branches": state["branches"],
+        "stall_cycles": stalls,
+        "loads": int(np.count_nonzero(ops == 1)),
+        "stores": int(np.count_nonzero(ops == 2)),
+        "branches": branches,
     }
 
 

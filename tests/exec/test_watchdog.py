@@ -93,6 +93,23 @@ class TestDeathRace:
         assert wall < 5.0  # nowhere near the 30s timeout
         runner.shutdown()
 
+    def test_exit_between_liveness_sample_and_drain(self):
+        """Regression: a child that exits after ``poll()`` sampled it
+        alive, but before the pipe drain hit EOF, is still reported
+        with its exit code."""
+        runner = ProcessPoolRunner(1)
+        runner.submit(Job(id="a", fn=crashing_job), None, 30.0)
+        process = runner._running["a"].process  # noqa: SLF001
+        process.join(5.0)
+        assert process.exitcode == 7
+        real_is_alive = process.is_alive
+        stale = [True]  # the sample taken just before the child exited
+        process.is_alive = lambda: stale.pop() if stale else real_is_alive()
+        (attempt,) = runner.poll()
+        assert attempt.status == "crash"
+        assert "exited with code 7" in attempt.error
+        runner.shutdown()
+
 
 class TestHeartbeats:
     def test_pool_runner_receives_beats(self):
