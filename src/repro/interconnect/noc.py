@@ -66,6 +66,7 @@ class Packet:
     route: list[Coord] = field(default_factory=list)
     hop_index: int = 0
     delivered_at: Optional[float] = None
+    ready: float = 0.0  # earliest departure from the link it queues on
 
     @property
     def latency(self) -> float:
@@ -130,7 +131,7 @@ class _LinkState:
     __slots__ = ("queue", "next_free", "busy")
 
     def __init__(self) -> None:
-        self.queue: Deque[tuple[float, Packet]] = deque()  # (ready, packet)
+        self.queue: Deque[Packet] = deque()
         self.next_free = 0.0  # earliest cycle the link may forward again
         self.busy = False  # a departure event is scheduled
 
@@ -215,16 +216,16 @@ class MeshNoC:
                 raise ValueError("injection_times must match pairs")
         packets: list[Packet] = []
         route_cache: Dict[Tuple[Coord, Coord], list[Coord]] = {}
-        for (src, dst), t in zip(pairs, injection_arr):
-            self._check_coord(src)
-            self._check_coord(dst)
-            if src == dst:
-                raise ValueError("self-loop packet")
+        for (src, dst), t in zip(pairs, injection_arr.tolist()):
             route = route_cache.get((src, dst))
             if route is None:
+                self._check_coord(src)
+                self._check_coord(dst)
+                if src == dst:
+                    raise ValueError("self-loop packet")
                 route = route_cache[(src, dst)] = route_fn(src, dst)
             packets.append(
-                Packet(src=src, dst=dst, injected_at=float(t), route=route)
+                Packet(src=src, dst=dst, injected_at=t, route=route)
             )
 
         kernel = sim if sim is not None else Simulator()
@@ -246,69 +247,74 @@ class MeshNoC:
         hops = 0
         injected = 0
 
-        def schedule_departure(s: Simulator, state: _LinkState) -> None:
-            ready = state.queue[0][0]
-            next_free = state.next_free
-            now = s.now
-            depart = ready if ready > next_free else next_free
-            if now > depart:
-                depart = now
-            state.busy = True
-            # The departure event carries the link state directly, so
-            # the hot path never touches the links dict.
-            s.schedule_at(depart, forward, state, cancellable=False)
+        schedule_at = kernel.schedule_at
 
         def forward(s: Simulator, state: _LinkState) -> None:
+            # One departure from ``state``'s link.  Departure events carry
+            # the link state directly, so the hot path never touches the
+            # links dict except to hand a packet to its next link.
             nonlocal last_delivery, hops
             state.busy = False
-            if not state.queue:
+            queue = state.queue
+            if not queue:
                 return
-            # A fault may have pushed next_free past this departure;
-            # reschedule rather than forwarding early.
-            if state.next_free > s.now:
-                schedule_departure(s, state)
+            now = s.now
+            next_free = state.next_free
+            if next_free > now:
+                # A fault pushed next_free past this departure;
+                # reschedule rather than forwarding early.
+                ready = queue[0].ready
+                state.busy = True
+                schedule_at(ready if ready > next_free else next_free,
+                            forward, state, cancellable=False)
                 return
-            packet = state.queue.popleft()[1]
-            state.next_free = s.now + 1.0
+            packet = queue.popleft()
+            next_free = state.next_free = now + 1.0
             hops += 1
-            packet.hop_index += 1
-            if packet.hop_index == len(packet.route) - 1:
-                at = s.now + 1.0
-                packet.delivered_at = at
+            hop = packet.hop_index = packet.hop_index + 1
+            route = packet.route
+            if hop == len(route) - 1:
+                packet.delivered_at = next_free
                 delivered.append(packet)
-                if at > last_delivery:
-                    last_delivery = at
+                if next_free > last_delivery:
+                    last_delivery = next_free
                 if tracer is not None:
-                    tracer.emit("noc.packet", packet.injected_at, at,
-                                hops=packet.hop_index)
+                    tracer.emit("noc.packet", packet.injected_at, next_free,
+                                hops=hop)
             else:
-                enqueue(s, packet, s.now + 1.0)
-            if state.queue:
-                schedule_departure(s, state)
-
-        def enqueue(s: Simulator, packet: Packet, now: float) -> None:
-            link = (packet.route[packet.hop_index],
-                    packet.route[packet.hop_index + 1])
-            state = links.get(link)
-            if state is None:
-                state = links[link] = _LinkState()
-            state.queue.append((now + hop_lat - 1.0, packet))
-            if not state.busy:
-                schedule_departure(s, state)
+                # Enqueue on the next link and start it if idle.  A ready
+                # time is never earlier than the clock when it is set, so
+                # no departure needs clamping to ``now``.
+                link = (route[hop], route[hop + 1])
+                nxt = links.get(link)
+                if nxt is None:
+                    nxt = links[link] = _LinkState()
+                packet.ready = next_free + hop_lat - 1.0
+                nxt.queue.append(packet)
+                if not nxt.busy:
+                    ready = nxt.queue[0].ready
+                    nf = nxt.next_free
+                    nxt.busy = True
+                    schedule_at(ready if ready > nf else nf,
+                                forward, nxt, cancellable=False)
+            if queue:
+                ready = queue[0].ready
+                state.busy = True
+                schedule_at(ready if ready > next_free else next_free,
+                            forward, state, cancellable=False)
 
         def inject(s: Simulator, packet: Packet) -> None:
-            nonlocal injected
-            injected += 1
-            enqueue(s, packet, s.now)
+            inject_batch(s, ((s.now, packet),))
 
         def inject_batch(s: Simulator, run) -> int:
-            # Macro twin of ``inject`` (contract: repro.core.macro):
-            # inline enqueue/schedule_departure with the entry's own
-            # timestamp standing in for ``s.now`` (stale inside a
-            # batch), stopping at the hazard horizon — the earliest
-            # departure this batch scheduled.  Consuming a tie is safe:
-            # pending injections carry older seqs than any departure
-            # scheduled here, so they run first in scalar order too.
+            # Enqueue each packet on its first link at the entry's own
+            # timestamp (``s.now`` is stale inside a macro batch;
+            # contract: repro.core.macro), stopping at the hazard
+            # horizon — the earliest departure this batch scheduled.
+            # Consuming a tie is safe: pending injections carry older
+            # seqs than any departure scheduled here, so they run first
+            # in scalar order too.  The scalar ``inject`` is a batch of
+            # one.
             nonlocal injected
             horizon = math.inf
             k = 0
@@ -321,15 +327,15 @@ class MeshNoC:
                 state = links.get(link)
                 if state is None:
                     state = links[link] = _LinkState()
-                state.queue.append((t + hop_lat - 1.0, packet))
+                packet.ready = t + hop_lat - 1.0
+                state.queue.append(packet)
                 if not state.busy:
-                    ready = state.queue[0][0]
-                    next_free = state.next_free
-                    depart = ready if ready > next_free else next_free
-                    if t > depart:
-                        depart = t
+                    ready = state.queue[0].ready
+                    depart = state.next_free
+                    if ready > depart:
+                        depart = ready
                     state.busy = True
-                    s.schedule_at(depart, forward, state, cancellable=False)
+                    schedule_at(depart, forward, state, cancellable=False)
                     if depart < horizon:
                         horizon = depart
                 k += 1
@@ -355,7 +361,7 @@ class MeshNoC:
                 hops,
                 injected,
                 len(delivered),
-                [(p.hop_index, p.delivered_at) for p in packets],
+                [(p.hop_index, p.delivered_at, p.ready) for p in packets],
                 [
                     (link, state, list(state.queue), state.next_free,
                      state.busy)
@@ -368,9 +374,11 @@ class MeshNoC:
             nonlocal last_delivery, hops, injected
             last_delivery, hops, injected = saved[0], saved[1], saved[2]
             del delivered[saved[3]:]
-            for packet, (hop_index, delivered_at) in zip(packets, saved[4]):
+            for packet, (hop_index, delivered_at, ready) in zip(packets,
+                                                                saved[4]):
                 packet.hop_index = hop_index
                 packet.delivered_at = delivered_at
+                packet.ready = ready
             links.clear()
             for link, state, queue, next_free, busy in saved[5]:
                 state.queue = deque(queue)

@@ -16,11 +16,10 @@ replay-a-workload tools (ROADMAP item 5):
   statistics, chunk-size invariant by construction.
 * :mod:`repro.traces.replay` — sinks that feed traces into the
   existing simulators, with a deterministic :meth:`ReplayResult.digest`
-  for cross-mode/cross-backend parity.  Sinks with feedback (``noc``,
-  the queue's ``jsq`` policy) run on the event kernel through
-  ``schedule_batch`` + macro twins; feedforward sinks (the queue's
-  static policies, ``cpu``, ``memory``, ``wear``) run as array programs
-  over the records.
+  for cross-mode/cross-backend parity.  Only ``noc`` runs on the event
+  kernel, through ``schedule_batch`` + a macro batch; the other sinks
+  (``queue`` with every policy, ``cpu``, ``memory``, ``wear``) run as
+  array programs over the records.
 
 The scenario library (:mod:`repro.scenarios`) names bundles of
 generator + sink + params and pins their digests.

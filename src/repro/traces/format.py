@@ -54,13 +54,13 @@ Three kinds, mirroring the paper's emerging-apps tables (A.1/A.2):
   immediate.
 
 Timestamps must be nondecreasing across the whole file (enforced at
-write time).  The kernel-driven sinks (``noc``, queue ``jsq``) bulk-load
-each block with :meth:`~repro.core.events.Simulator.schedule_batch`,
-which keeps a sorted train in the kernel's in-order lane where the
-macro fast path (:mod:`repro.core.macro`) can drain it in batches; the
-array-program sinks (queue ``rr``/``target``/``client``, ``cpu``,
-``memory``, ``wear``) walk sorted records in array order, and records
-from an unsorted block iterable in the kernel's own ``(ts, seq)`` order.
+write time).  The one kernel-driven sink (``noc``) bulk-loads each
+block with :meth:`~repro.core.events.Simulator.schedule_batch`, which
+keeps a sorted train in the kernel's in-order lane where the macro fast
+path (:mod:`repro.core.macro`) can drain it in batches; the
+array-program sinks (``queue``, ``cpu``, ``memory``, ``wear``) walk
+sorted records in array order, and records from an unsorted block
+iterable in the kernel's own ``(ts, seq)`` order.
 
 Two read paths share one validation layer: :meth:`TraceReader.blocks`
 yields ``(kind, numpy structured array)`` per block — the fast path

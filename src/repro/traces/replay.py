@@ -3,22 +3,23 @@
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  The event kernel is used only where a
-model feeds back into its own event stream:
+model needs its event ordering:
 
-* on the kernel — ``noc`` (every hop schedules the next) and the
-  ``queue`` sink's ``jsq`` policy (completions change the queue depths
-  the next arrival reads).  Both bulk-load the trace with
-  :meth:`Simulator.schedule_batch` and carry macro batch twins
+* on the kernel — ``noc``: every hop schedules the next, and link
+  contention decides the order.  It bulk-loads the trace with
+  :meth:`Simulator.schedule_batch` and carries a macro batch
   (:func:`repro.core.macro.as_macro`), so ``REPRO_FASTPATH=off|auto|on``
   produce byte-identical results.
-* as array programs — the ``queue`` sink's static policies
-  (``rr``/``target``/``client``), ``cpu``, ``memory`` and ``wear``.
-  Nothing they compute schedules an event, so they run directly over
-  the record arrays.  They visit records in exactly the kernel's
-  ``(ts, seq)`` order, keep the event-driven model's per-record float
-  operation order, and reject a timestamp before 0 with the kernel's
-  ``ValueError``; ``tests/traces/test_array_sinks.py`` checks them
-  for exact equality against event-driven handlers.
+* as array programs — the ``queue`` sink (every policy), ``cpu``,
+  ``memory`` and ``wear``.  They run directly over the record arrays.
+  Join-shortest-queue (``jsq``) is the one with feedback: completions
+  change the depths the next arrival reads, so it keeps a heap of
+  pending completions and retires those strictly before each arrival.
+  They visit records in exactly the kernel's ``(ts, seq)`` order, keep
+  the event-driven model's per-record float operation order, and
+  reject a timestamp before 0 with the kernel's ``ValueError``;
+  ``tests/traces/test_array_sinks.py`` checks them for exact equality
+  against event-driven handlers.
 
 Sinks (:data:`SINKS`):
 
@@ -46,6 +47,7 @@ and across serial/pool/socket exec backends.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
@@ -53,7 +55,6 @@ from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.events import Simulator
-from ..core.macro import as_macro
 from ..exec.cache import canonicalize
 from .format import (
     KIND_INSTRUCTION,
@@ -122,7 +123,8 @@ def _gather(
     """Collect all blocks of ``want_kind``, feeding stats along the way.
 
     Blocks of other kinds are counted into stats but not replayed —
-    a mixed trace replays per-sink, each sink taking its lane.
+    a mixed trace replays per-sink, each sink taking its lane.  A lane
+    that is present but holds zero records counts as missing.
     """
     if isinstance(source, (str, bytes, bytearray)) or hasattr(source, "read"):
         with TraceReader(source) as reader:  # type: ignore[arg-type]
@@ -133,7 +135,7 @@ def _gather(
     for kind, arr in blocks:
         if stats is not None:
             stats.feed(kind, arr)
-        if kind == want_kind:
+        if kind == want_kind and len(arr):
             out.append(arr)
     if not out:
         raise TraceFormatError(
@@ -161,8 +163,6 @@ def _visit_order(arr: np.ndarray) -> Optional[np.ndarray]:
     exactly the traces the kernel rejects.
     """
     ts = np.asarray(arr["ts"], dtype=float)
-    if len(ts) == 0:
-        return None
     if ts.min() < 0.0:
         bad = float(ts[ts < 0.0][0])
         raise ValueError(f"cannot schedule at {bad} before current time 0.0")
@@ -179,89 +179,52 @@ def _visit_order(arr: np.ndarray) -> Optional[np.ndarray]:
 QUEUE_POLICIES = ("rr", "target", "client", "jsq")
 
 
-def _queue_static(arr: np.ndarray, n_servers: int, policy: str):
-    """rr/target/client: the server choice never looks at queue state,
-    so one pass over the records in visit order is the whole model."""
+def _queue_program(arr: np.ndarray, n_servers: int, policy: str):
+    """One pass over the records in visit order is the whole model.
+
+    rr/target/client never look at queue state, so their server choice
+    is vectorized up front.  Join-shortest-queue reads live queue
+    depths: before each arrival at ``t`` it retires, from a heap of
+    pending ``(finish, server)`` completions, those with ``finish < t``.
+    Strictly earlier: on the kernel every arrival is scheduled before
+    any completion, so at an equal time the arrival runs first.
+    """
     n = len(arr)
     order = _visit_order(arr)
     rec = arr if order is None else arr[order]
-    if policy == "rr":
-        srvs = np.arange(n) % n_servers
-    else:
-        srvs = rec[policy] % n_servers
     service = rec["service_us"] * 1e-6
     free_at = [0.0] * n_servers
     lat = []
     append = lat.append
-    for t, svc, srv in zip(rec["ts"].tolist(), service.tolist(), srvs.tolist()):
-        f = free_at[srv]
-        finish = (t if t > f else f) + svc
-        free_at[srv] = finish
-        append(finish - t)
+    times = rec["ts"].tolist()
+    if policy == "jsq":
+        qlen = [0] * n_servers
+        served = [0] * n_servers
+        pending: List[Tuple[float, int]] = []
+        for t, svc in zip(times, service.tolist()):
+            while pending and pending[0][0] < t:
+                qlen[heapq.heappop(pending)[1]] -= 1
+            srv = qlen.index(min(qlen))
+            f = free_at[srv]
+            finish = (t if t > f else f) + svc
+            free_at[srv] = finish
+            served[srv] += 1
+            qlen[srv] += 1
+            heapq.heappush(pending, (finish, srv))
+            append(finish - t)
+    else:
+        srvs = (np.arange(n) if policy == "rr" else rec[policy]) % n_servers
+        for t, svc, srv in zip(times, service.tolist(), srvs.tolist()):
+            f = free_at[srv]
+            finish = (t if t > f else f) + svc
+            free_at[srv] = finish
+            append(finish - t)
+        served = np.bincount(srvs, minlength=n_servers).tolist()
     latencies = np.empty(n)
     latencies[slice(None) if order is None else order] = lat  # record order
     # ``add.accumulate`` sums strictly left to right, as the per-record
     # ``busy += service`` of the event-driven model does.
-    busy = float(np.add.accumulate(service)[-1]) if n else 0.0
-    served = np.bincount(srvs, minlength=n_servers).tolist()
-    return latencies, served, busy, free_at
-
-
-def _queue_jsq(arr: np.ndarray, sim: Simulator, n_servers: int):
-    """Join-shortest-queue consults live queue depths, so completions
-    are kernel events and arrivals drain through the macro twin."""
-    n = len(arr)
-    service = (arr["service_us"] * 1e-6).tolist()
-    free_at = [0.0] * n_servers
-    qlen = [0] * n_servers
-    served = [0] * n_servers
-    latencies = np.empty(n)
-    busy = 0.0
-
-    def complete(s: Simulator, server: int) -> None:
-        qlen[server] -= 1
-
-    def arrive(s: Simulator, i: int) -> None:
-        nonlocal busy
-        t = s.now
-        srv = qlen.index(min(qlen))
-        f = free_at[srv]
-        finish = (t if t > f else f) + service[i]
-        free_at[srv] = finish
-        served[srv] += 1
-        busy += service[i]
-        latencies[i] = finish - t
-        qlen[srv] += 1
-        s.schedule_at(finish, complete, srv, cancellable=False)
-
-    def arrive_batch(s: Simulator, run) -> int:
-        # Macro twin (contract: repro.core.macro).  Stops at the
-        # earliest completion it scheduled (ties safe: pre-scheduled
-        # arrivals carry older seqs than any completion scheduled
-        # in-batch).
-        nonlocal busy
-        horizon = float("inf")
-        k = 0
-        for t, i in run:
-            if t > horizon:
-                break
-            srv = qlen.index(min(qlen))
-            f = free_at[srv]
-            finish = (t if t > f else f) + service[i]
-            free_at[srv] = finish
-            served[srv] += 1
-            busy += service[i]
-            latencies[i] = finish - t
-            qlen[srv] += 1
-            s.schedule_at(finish, complete, srv, cancellable=False)
-            if finish < horizon:
-                horizon = finish
-            k += 1
-        return k
-
-    as_macro(arrive, arrive_batch)
-    sim.schedule_batch(arr["ts"], arrive, payloads=range(n))
-    sim.run()
+    busy = float(np.add.accumulate(service)[-1])
     return latencies, served, busy, free_at
 
 
@@ -280,11 +243,8 @@ def _replay_queue(
         raise ValueError("need at least one server")
     arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     n = len(arr)
-    if policy == "jsq":
-        latencies, served, busy, free_at = _queue_jsq(arr, sim, n_servers)
-    else:
-        latencies, served, busy, free_at = _queue_static(arr, n_servers, policy)
-    makespan = max(max(free_at), float(arr["ts"][-1])) if n else 0.0
+    latencies, served, busy, free_at = _queue_program(arr, n_servers, policy)
+    makespan = max(max(free_at), float(arr["ts"][-1]))
     return {
         "policy": policy,
         "n_servers": n_servers,
@@ -323,17 +283,20 @@ def _replay_noc(
     dst_ids = arr["target"] % nodes
     same = src_ids == dst_ids
     dst_ids = np.where(same, (dst_ids + 1) % nodes, dst_ids)
+    coords = [(i % width, i // width) for i in range(nodes)]
     pairs = [
-        ((int(s) % width, int(s) // width),
-         (int(d) % width, int(d) // width))
-        for s, d in zip(src_ids, dst_ids)
+        (coords[s], coords[d])
+        for s, d in zip(src_ids.tolist(), dst_ids.tolist())
     ]
     # Trace timestamps are seconds; the NoC clock is cycles.  Scale so
     # the whole trace spans a workload-proportional cycle window and
     # quantize to integers (the model aligns to cycle boundaries).
+    # A multi-block trace may restart its clock per block, so the window
+    # runs from the earliest to the latest timestamp, not first to last.
     ts = arr["ts"]
-    span = float(ts[-1] - ts[0]) or 1.0
-    cycles = np.floor((ts - ts[0]) / span * (len(arr) * 2.0))
+    t0 = ts.min()
+    span = float(ts.max() - t0) or 1.0
+    cycles = np.floor((ts - t0) / span * (len(arr) * 2.0))
     noc = MeshNoC(NoCConfig(width=width, height=height))
     result = noc.run(
         pairs,
@@ -408,7 +371,7 @@ def _replay_memory(
         },
         "memory_accesses": mem,
         "total_cycles": cycles,
-        "amat_cycles": cycles / n if n else 0.0,
+        "amat_cycles": cycles / n,
     }
 
 
@@ -499,7 +462,7 @@ def _replay_cpu(
     return {
         "instructions": n,
         "cycles": cycles,
-        "ipc": n / cycles if cycles else 0.0,
+        "ipc": n / cycles,
         "stall_cycles": stalls,
         "loads": int(np.count_nonzero(ops == 1)),
         "stores": int(np.count_nonzero(ops == 2)),

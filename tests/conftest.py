@@ -1,6 +1,9 @@
-"""Test-suite-wide configuration: deterministic hypothesis runs."""
+"""Test-suite-wide configuration: deterministic hypothesis runs, and
+``pytester`` for tests of the suite's own warning gates."""
 
 from hypothesis import HealthCheck, settings
+
+pytest_plugins = ("pytester",)
 
 settings.register_profile(
     "repro",

@@ -1,13 +1,14 @@
 """Differential test: the array-program replay sinks against the
 event-driven reference.
 
-The queue static policies (rr/target/client), the cpu sink and the
-memory sink run as direct passes over the record arrays.  The oracle
-below is the event-driven form they replaced: one scalar handler per
-record, each record scheduled through ``Simulator.schedule_at`` on the
-general drain (``fastpath="off"``).  The kernel visits records in
-``(ts, seq)`` order, so ties, multi-block concatenation and unsorted
-block iterables all exercise the array programs' visit-order handling.
+The queue sink (every policy, join-shortest-queue included), the cpu
+sink and the memory sink run as direct passes over the record arrays.
+The oracle below is the event-driven form they replaced: one scalar
+handler per record, each record scheduled through
+``Simulator.schedule_at`` on the general drain (``fastpath="off"``).
+The kernel visits records in ``(ts, seq)`` order, so ties, multi-block
+concatenation and unsorted block iterables all exercise the array
+programs' visit-order handling.
 Outputs must match exactly, not within a tolerance.
 """
 
@@ -23,6 +24,7 @@ from repro.traces import (
     KIND_INSTRUCTION,
     KIND_MEMORY,
     KIND_REQUEST,
+    TraceFormatError,
     generate,
     replay,
 )
@@ -39,7 +41,8 @@ def _drive(arr, handler):
     sim.run()
 
 
-def oracle_queue(arr, n_servers=8, policy="rr"):
+def oracle_queue(arr, n_servers=8, policy="rr", finishes=None):
+    """``finishes``, if given, collects every request's finish time."""
     n = len(arr)
     times = arr["ts"].tolist()
     service = (arr["service_us"] * 1e-6).tolist()
@@ -71,6 +74,8 @@ def oracle_queue(arr, n_servers=8, policy="rr"):
         served[srv] += 1
         state["busy"] += service[i]
         latencies[i] = finish - t
+        if finishes is not None:
+            finishes.append(finish)
         if policy == "jsq":
             qlen[srv] += 1
             s.schedule_at(finish, complete, srv, cancellable=False)
@@ -239,6 +244,34 @@ class TestQueueSink:
         _same(got, oracle_queue(np.concatenate(blocks), n_servers=1))
 
 
+def _grid_requests(seed, n=600):
+    """Arrivals on an integer grid with services of exact binary
+    fractions of a second, so completions land exactly on arrivals."""
+    _, arr = generate("steady-requests", seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    arr = arr.copy()
+    arr["ts"] = np.sort(rng.integers(0, n // 2, n)).astype(float)
+    arr["service_us"] = rng.choice([5e5, 1e6, 2e6, 3e6], n)
+    return arr
+
+
+class TestJsqTieRule:
+    """On the kernel every arrival is scheduled before any completion,
+    so an arrival at the exact time of a completion still sees that
+    request in its server's queue depth."""
+
+    @pytest.mark.parametrize("n_servers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_completion_on_an_arrival_timestamp(self, seed, n_servers):
+        arr = _grid_requests(seed)
+        finishes = []
+        params = {"n_servers": n_servers, "policy": "jsq"}
+        want = oracle_queue(arr, finishes=finishes, **params)
+        arrivals = set(arr["ts"].tolist())
+        assert sum(f in arrivals for f in finishes) > 50  # many ties
+        _same(_replay([arr], KIND_REQUEST, "queue", params).outputs, want)
+
+
 class TestCpuSink:
     @pytest.mark.parametrize("case", sorted(INSTRUCTION_CASES))
     def test_matches_event_driven_oracle(self, case):
@@ -271,6 +304,8 @@ class TestNegativeTimestamp:
              REQUEST_CASES),
             (KIND_INSTRUCTION, "cpu", {}, oracle_cpu, INSTRUCTION_CASES),
             (KIND_MEMORY, "memory", {}, oracle_memory, MEMORY_CASES),
+            (KIND_REQUEST, "queue", {"policy": "jsq"}, oracle_queue,
+             REQUEST_CASES),
         ],
     )
     def test_raises_the_kernels_error(self, kind, sink, params, oracle, cases):
@@ -283,3 +318,42 @@ class TestNegativeTimestamp:
             _replay([arr], kind, sink, params)
         assert str(got.value) == str(want.value)
         assert "-0.25" in str(got.value)
+
+
+class TestEmptyLane:
+    """A lane that is present but holds zero records is rejected like a
+    missing lane, before any sink sees it."""
+
+    @pytest.mark.parametrize(
+        "kind,sink,params",
+        [(KIND_REQUEST, "queue", {"policy": p})
+         for p in ("rr", "target", "client", "jsq")]
+        + [
+            (KIND_REQUEST, "noc", {"width": 4, "height": 4}),
+            (KIND_INSTRUCTION, "cpu", {}),
+            (KIND_MEMORY, "memory", {}),
+            (KIND_MEMORY, "wear", {}),
+        ],
+    )
+    def test_same_error_as_a_missing_lane(self, kind, sink, params):
+        cases = {KIND_REQUEST: REQUEST_CASES, KIND_MEMORY: MEMORY_CASES,
+                 KIND_INSTRUCTION: INSTRUCTION_CASES}
+        empty = cases[kind][next(iter(cases[kind]))][0][:0]
+        other = KIND_MEMORY if kind == KIND_INSTRUCTION else KIND_INSTRUCTION
+        foreign = cases[other][next(iter(cases[other]))][0][:10]
+        with pytest.raises(TraceFormatError) as missing:
+            replay([(other, foreign)], sink=sink, sink_params=params)
+        with pytest.raises(TraceFormatError) as got:
+            replay([(kind, empty), (other, foreign), (kind, empty)],
+                   sink=sink, sink_params=params)
+        assert str(got.value) == str(missing.value)
+        assert "records to replay" in str(got.value)
+
+    def test_empty_blocks_beside_records_change_nothing(self):
+        arr = REQUEST_CASES["steady"][0]
+        params = {"policy": "jsq", "n_servers": 3}
+        with_empty = replay([(KIND_REQUEST, arr[:0]), (KIND_REQUEST, arr)],
+                            sink="queue", sink_params=params)
+        alone = replay([(KIND_REQUEST, arr)], sink="queue",
+                       sink_params=params)
+        assert with_empty.digest() == alone.digest()
