@@ -14,6 +14,8 @@ Usage::
     python benchmarks/perf_smoke.py --skip-experiments --repeats 3
     python benchmarks/perf_smoke.py \
         --require kernel_drain_events_per_s.bare>=12830857   # hard floor
+    python benchmarks/perf_smoke.py --skip-serve \
+        --require "experiments_wall_s.E19<=0.10"           # hard ceiling
 
 The committed ``BENCH_PR3.json`` at the repo root is the reference
 trajectory: its ``pre_pr3`` section was measured on the pre-PR3 kernel
@@ -102,6 +104,47 @@ def compare(current: dict, baseline: dict, max_regression: float) -> list[str]:
     return failures
 
 
+def parse_requirement(spec: str) -> tuple[str, str, str, float]:
+    """Split ``FAMILY.KEY>=VALUE`` (a floor) or ``FAMILY.KEY<=VALUE``
+    (a ceiling) into (family, key, operator, bound)."""
+    for op in (">=", "<="):
+        path, sep, bound = spec.partition(op)
+        if sep:
+            family, _, key = path.strip().partition(".")
+            if family and key:
+                return family, key, op, float(bound)
+    raise ValueError(
+        f"--require needs FAMILY.KEY>=VALUE or FAMILY.KEY<=VALUE, "
+        f"got {spec!r}"
+    )
+
+
+def check_requirement(current: dict, spec: str) -> tuple[bool, str]:
+    """Hold one measured value to its ``--require`` bound; returns
+    (passed, message).  A missing value fails."""
+    family, key, op, bound = parse_requirement(spec)
+    kind = "FLOOR" if op == ">=" else "CEILING"
+    value = current.get(family, {}).get(key)
+    if value is None:
+        return False, (
+            f"PERF {kind} MISSING: {family}[{key}] was not measured "
+            f"(required {op} {_fmt(bound)})"
+        )
+    if (value >= bound) if op == ">=" else (value <= bound):
+        return True, (
+            f"perf {kind.lower()} passed: {family}[{key}] = "
+            f"{_fmt(value)} {op} {_fmt(bound)}"
+        )
+    return False, (
+        f"PERF {kind} FAILED: {family}[{key}] = {_fmt(value)}, "
+        f"required {op} {_fmt(bound)}"
+    )
+
+
+def _fmt(x: float) -> str:
+    return f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=None)
@@ -119,11 +162,12 @@ def main(argv: list[str] | None = None) -> int:
         "--require",
         action="append",
         default=None,
-        metavar="FAMILY.KEY>=VALUE",
+        metavar="FAMILY.KEY>=VALUE|FAMILY.KEY<=VALUE",
         help="absolute floor a measured rate must clear, e.g. "
         "kernel_drain_events_per_s.bare>=12830857 (2.5x the PR3 "
-        "baseline); repeatable, fails the gate when the key is "
-        "missing or below the floor",
+        "baseline), or ceiling a measured wall time must stay under, "
+        "e.g. experiments_wall_s.E19<=0.10; repeatable, fails the gate "
+        "when the key is missing or on the wrong side of its bound",
     )
     parser.add_argument(
         "--repeats", type=int, default=perf_harness.DEFAULT_REPEATS
@@ -163,23 +207,12 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = False
     for spec in args.require or []:
-        path, _, floor_text = spec.partition(">=")
-        if not floor_text:
-            parser.error(f"--require needs FAMILY.KEY>=VALUE, got {spec!r}")
-        family, _, key = path.strip().partition(".")
-        floor = float(floor_text)
-        value = current.get(family, {}).get(key)
-        if value is None:
-            failed = True
-            print(f"PERF FLOOR MISSING: {family}[{key}] was not measured "
-                  f"(required >= {floor:,.0f})")
-        elif value < floor:
-            failed = True
-            print(f"PERF FLOOR FAILED: {family}[{key}] = {value:,.0f} "
-                  f"< required {floor:,.0f}")
-        else:
-            print(f"perf floor passed: {family}[{key}] = {value:,.0f} "
-                  f">= {floor:,.0f}")
+        try:
+            passed, message = check_requirement(current, spec)
+        except ValueError as exc:
+            parser.error(str(exc))
+        failed = failed or not passed
+        print(message)
     for baseline_path in args.baseline or []:
         baseline = json.loads(baseline_path.read_text())
         # BENCH_PR*.json nest the reference numbers under "current";

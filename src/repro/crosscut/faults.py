@@ -7,8 +7,13 @@ Two layers:
   tiny-ISA in-order core mid-trace, classified the standard way —
   **masked** (architectural state converges to the golden run), **SDC**
   — silent data corruption (run completes, final state differs), or
-  **detected** (a checker caught it).  The E19 experiment layers
-  checkers from :mod:`repro.crosscut.invariants` on top.
+  **detected** (a checker caught it).  A campaign runs as one array
+  program: :func:`execute_registers_batch` steps every flip's register
+  file at once as a row of an int64 matrix, freezing rows a checker
+  catches; :func:`execute_registers` is a batch of one.  A checker
+  built with :func:`vectorized_checker` sees the whole matrix per step;
+  any other callable sees one live row at a time.  The E19 experiment
+  layers checkers from :mod:`repro.crosscut.invariants` on top.
 * **System-level**: :class:`KernelFaultInjector` schedules random fault
   events on the shared event kernel and drives them into any model that
   implements ``inject_fault(sim, rng)`` (the cluster degrades a server,
@@ -38,70 +43,164 @@ class Outcome(Enum):
 
 
 _MASK = (1 << 20) - 1
+#: Opcodes that write their destination register.
+_WRITES = frozenset(
+    (Opcode.ALU, Opcode.MUL, Opcode.DIV, Opcode.FPU, Opcode.FMA, Opcode.LOAD)
+)
+
+#: One fault: flip ``bit`` of ``register`` just before instruction ``index``.
+Flip = tuple[int, int, int]
 
 
-def execute_registers(
+def vectorized_checker(
+    batch: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[Sequence[int]], bool]:
+    """Wrap a whole-batch check as a checker the interpreter vectorizes.
+
+    ``batch`` takes the ``(n, NUM_REGISTERS)`` int64 register matrix and
+    returns a length-``n`` bool array, False where a row is caught.  The
+    interpreter calls it once per step on every row; results for rows
+    already detected are ignored.  The returned callable also works as a
+    plain checker on one register file (a batch of one), so a vectorized
+    checker fits everywhere a scalar one does.
+    """
+
+    def check(regs: Sequence[int]) -> bool:
+        row = np.asarray(regs, dtype=np.int64).reshape(1, NUM_REGISTERS)
+        return bool(batch(row)[0])
+
+    check.batch = batch
+    return check
+
+
+def _check_flip(flip: Sequence[int], n_instructions: int) -> Flip:
+    index, reg, bit = (int(x) for x in flip)
+    if not 0 <= index < n_instructions:
+        raise ValueError(
+            f"flip instruction index {index} outside the "
+            f"{n_instructions}-instruction trace"
+        )
+    if not 0 <= reg < NUM_REGISTERS:
+        raise ValueError("flip register out of range")
+    if not 0 <= bit < 63:
+        raise ValueError("flip bit out of range")
+    return index, reg, bit
+
+
+def execute_registers_batch(
     trace: Sequence[Instruction],
-    flip: Optional[tuple[int, int, int]] = None,
-    checker: Optional[Callable[[Sequence[int]], bool]] = None,
-) -> tuple[np.ndarray, bool]:
+    flips: Sequence[Optional[Flip]],
+    checker: Callable | Sequence[Callable] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Architectural register-file interpreter for the tiny ISA.
 
     Executes a deterministic arithmetic semantics (each opcode a fixed
     integer function of its sources) so fault effects propagate
-    realistically.  ``flip`` = (instruction_index, register, bit):
-    before executing that instruction, flip that register bit.
-    ``checker``, if given, is called on the register file after every
-    instruction; returning False signals detection.
+    realistically.  Every entry of ``flips`` is one run: row ``k`` of an
+    ``(n, NUM_REGISTERS)`` int64 register matrix, and each instruction
+    is one vector step over all rows.  A flip ``(index, register,
+    bit)`` XORs that bit into its row just before instruction
+    ``index``; ``None`` runs the row fault-free.  Every flip is
+    validated up front: an index outside the trace, or a bad register
+    or bit, raises ``ValueError``.
 
-    The register file is kept as plain Python ints on the hot path
-    (every stored value is non-negative, fits in int64, and the 20-bit
-    result mask makes this bit-identical to int64 arithmetic), so the
-    checker receives the **live register list** — it must not mutate
-    it, and should copy if it retains state.
+    Every stored value is non-negative and below 2^63, and every sum or
+    product that can wrap is masked to 20 bits, so int64 arithmetic
+    gives the same registers as unbounded integers would.
 
-    Returns (final_registers as int64 array, detected).
+    ``checker`` runs after every instruction; False means detected.  A
+    detected row is frozen: its registers are kept as they were at
+    detection, its later flips are moot, and it is not checked again.
+    The loop stops once every row is detected.  ``checker`` may be
+
+    * a :func:`vectorized_checker`, called once per step on the whole
+      matrix;
+    * any other callable, called once per live row per step on that
+      row's **live** registers (a view into the matrix: it must not
+      mutate it, and should copy anything it keeps);
+    * a list of such callables, one per row.
+
+    Returns (final register matrix, detected flags).
     """
-    regs: list[int] = list(range(1, NUM_REGISTERS + 1))  # nonzero init
-    detected = False
-    flip_idx = flip[0] if flip is not None else -1
+    n_instructions = len(trace)
+    due: dict = {}
+    for row, flip in enumerate(flips):
+        if flip is not None:
+            index, reg, bit = _check_flip(flip, n_instructions)
+            due.setdefault(index, []).append((row, reg, 1 << bit))
+    due = {i: tuple(np.array(col) for col in zip(*hits))
+           for i, hits in due.items()}
+    n = len(flips)
+    # Column-major, so each source/destination column is contiguous.
+    regs = np.empty((n, NUM_REGISTERS), dtype=np.int64, order="F")
+    regs[:] = np.arange(1, NUM_REGISTERS + 1)  # nonzero init
+    live = np.ones(n, dtype=bool)
+    frozen = np.empty_like(regs)
+    batch = getattr(checker, "batch", None)
+    if batch is None and callable(checker):
+        checker = [checker] * n
+    if batch is None and checker is not None and len(checker) != n:
+        raise ValueError("need one checker per flip")
     mask = _MASK
     for i, instr in enumerate(trace):
-        if i == flip_idx:
-            _, reg, bit = flip
-            if not 0 <= reg < NUM_REGISTERS:
-                raise ValueError("flip register out of range")
-            if not 0 <= bit < 63:
-                raise ValueError("flip bit out of range")
-            regs[reg] ^= 1 << bit
-        srcs = instr.srcs
-        n_srcs = len(srcs)
-        if n_srcs:
-            a = regs[srcs[0]]
-            b = regs[srcs[1]] if n_srcs > 1 else 1
-        else:
-            a = i
-            b = 1
+        hit = due.get(i)
+        if hit is not None:
+            rows, cols, bits = hit
+            regs[rows, cols] ^= bits
+        dst = instr.dst
         opcode = instr.opcode
-        if opcode is Opcode.ALU:
-            value = (a + b) & mask
-        elif opcode is Opcode.MUL:
-            value = (a * b) & mask
-        elif opcode is Opcode.DIV:
-            value = a // (abs(b) + 1)
-        elif opcode is Opcode.FPU or opcode is Opcode.FMA:
-            c = regs[srcs[2]] if n_srcs > 2 else 3
-            value = (a * b + c) & mask
-        elif opcode is Opcode.LOAD:
-            value = (instr.address or 0) & mask
+        if dst is not None and opcode in _WRITES:
+            srcs = instr.srcs
+            n_srcs = len(srcs)
+            if n_srcs:
+                a = regs[:, srcs[0]]
+                b = regs[:, srcs[1]] if n_srcs > 1 else 1
+            else:
+                a = i
+                b = 1
+            if opcode is Opcode.ALU:
+                value = (a + b) & mask
+            elif opcode is Opcode.MUL:
+                value = (a * b) & mask
+            elif opcode is Opcode.DIV:
+                value = a // (abs(b) + 1)
+            elif opcode is Opcode.LOAD:
+                value = (instr.address or 0) & mask
+            else:  # FPU, FMA
+                c = regs[:, srcs[2]] if n_srcs > 2 else 3
+                value = (a * b + c) & mask
+            regs[:, dst] = value
+        if checker is None:
+            continue
+        if batch is not None:
+            caught = live & ~batch(regs)
         else:
-            value = None
-        if instr.dst is not None and value is not None:
-            regs[instr.dst] = value
-        if checker is not None and not checker(regs):
-            detected = True
-            break
-    return np.array(regs, dtype=np.int64), detected
+            caught = np.zeros(n, dtype=bool)
+            for row in np.flatnonzero(live):
+                if not checker[row](regs[row]):
+                    caught[row] = True
+        if caught.any():
+            frozen[caught] = regs[caught]
+            live &= ~caught
+            if not live.any():
+                break
+    detected = ~live
+    regs[detected] = frozen[detected]
+    return regs, detected
+
+
+def execute_registers(
+    trace: Sequence[Instruction],
+    flip: Optional[Flip] = None,
+    checker: Optional[Callable[[Sequence[int]], bool]] = None,
+) -> tuple[np.ndarray, bool]:
+    """One run of :func:`execute_registers_batch` (a batch of one).
+
+    ``flip`` = (instruction_index, register, bit), or None for the
+    fault-free run.  Returns (final registers as int64 array, detected).
+    """
+    regs, detected = execute_registers_batch(trace, [flip], checker)
+    return np.array(regs[0]), bool(detected[0])
 
 
 @dataclass
@@ -133,6 +232,30 @@ class CampaignResult:
         return detected / (detected + sdc)
 
 
+def draw_flips(
+    trace: Sequence[Instruction], n_injections: int, rng: RngLike = None
+) -> list[Flip]:
+    """Draw ``n_injections`` random (instruction, register, bit) flips.
+
+    Each flip draws its three fields in that order from ``rng``, so a
+    seed fixes the whole flip set.
+    """
+    if n_injections < 1:
+        raise ValueError("need at least one injection")
+    if not trace:
+        raise ValueError("trace must be non-empty")
+    gen = resolve_rng(rng)
+    n_instructions = len(trace)
+    return [
+        (
+            int(gen.integers(n_instructions)),
+            int(gen.integers(NUM_REGISTERS)),
+            int(gen.integers(31)),
+        )
+        for _ in range(n_injections)
+    ]
+
+
 def injection_campaign(
     trace: Sequence[Instruction],
     n_injections: int = 200,
@@ -141,55 +264,50 @@ def injection_campaign(
         Callable[[], Callable[[np.ndarray], bool]]
     ] = None,
     rng: RngLike = None,
-    flips: Optional[Sequence[tuple[int, int, int]]] = None,
+    flips: Optional[Sequence[Flip]] = None,
 ) -> CampaignResult:
     """Random single-bit-flip campaign against a trace.
 
     Each injection picks a random (instruction, register, bit) and
-    compares the final register file to a golden run.  Pass
-    ``checker_factory`` for stateful checkers (a fresh instance is
-    built per injection so state cannot leak between runs); a plain
-    ``checker`` is reused and must be stateless.
+    compares the final register file to a golden run; all injections
+    run together as one :func:`execute_registers_batch`.  Pass
+    ``checker_factory`` for stateful checkers: it is called once when
+    it builds a :func:`vectorized_checker` (which keeps its state per
+    row), and once per injection otherwise, so state cannot leak
+    between runs.  A plain ``checker`` is shared by every run and must
+    be stateless.
 
     Pass ``flips`` — an explicit sequence of (instruction_index,
     register, bit) triples — for a deterministic campaign whose
     outcomes are known by construction (e.g. classification tests);
     it overrides ``n_injections`` and draws nothing from ``rng``.
+    Every flip must land inside the trace (else ``ValueError``).
     """
-    if flips is None and n_injections < 1:
-        raise ValueError("need at least one injection")
-    if not trace:
-        raise ValueError("trace must be non-empty")
     if checker is not None and checker_factory is not None:
         raise ValueError("pass either checker or checker_factory, not both")
-    if flips is not None:
-        flips = [tuple(int(x) for x in f) for f in flips]
+    if flips is None:
+        flips = draw_flips(trace, n_injections, rng)
+    else:
+        if not trace:
+            raise ValueError("trace must be non-empty")
+        flips = list(flips)  # validated by the interpreter
         if not flips:
             raise ValueError("flips must be non-empty when given")
-        n_injections = len(flips)
-    gen = resolve_rng(rng)
+    if checker_factory is not None:
+        checker = checker_factory()
+        if not hasattr(checker, "batch"):
+            checker = [checker] + [
+                checker_factory() for _ in range(len(flips) - 1)
+            ]
     golden, _ = execute_registers(trace)
-    counts: dict = {o: 0 for o in Outcome}
-    for k in range(n_injections):
-        if flips is not None:
-            flip = flips[k]
-        else:
-            flip = (
-                int(gen.integers(len(trace))),
-                int(gen.integers(NUM_REGISTERS)),
-                int(gen.integers(31)),
-            )
-        run_checker = checker_factory() if checker_factory else checker
-        final, detected = execute_registers(
-            trace, flip=flip, checker=run_checker
-        )
-        if detected:
-            counts[Outcome.DETECTED] += 1
-        elif np.array_equal(final, golden):
-            counts[Outcome.MASKED] += 1
-        else:
-            counts[Outcome.SDC] += 1
-    return CampaignResult(outcomes=counts)
+    final, detected = execute_registers_batch(trace, flips, checker)
+    n_detected = int(detected.sum())
+    n_masked = int(((final == golden).all(axis=1) & ~detected).sum())
+    return CampaignResult(outcomes={
+        Outcome.MASKED: n_masked,
+        Outcome.SDC: len(flips) - n_masked - n_detected,
+        Outcome.DETECTED: n_detected,
+    })
 
 
 @runtime_checkable

@@ -16,6 +16,14 @@ substrate:
 
 The E19 bench reports the published-shape result: invariant checking
 buys most of DMR's SDC reduction at a tenth of its energy.
+
+The checkers are built with
+:func:`~repro.crosscut.faults.vectorized_checker`: each step they test
+the campaign's whole ``(n, NUM_REGISTERS)`` int64 register matrix at
+once and return one verdict per row (the relation checker keeps its
+previous observation as a per-row matrix), so one instance serves
+every injection of a campaign.  Called on a single register file they
+behave as a plain ``regs -> bool`` checker.
 """
 
 from __future__ import annotations
@@ -27,7 +35,12 @@ import numpy as np
 
 from ..core.rng import RngLike
 from ..processor.isa import Instruction
-from .faults import CampaignResult, Outcome, injection_campaign
+from .faults import (
+    Outcome,
+    draw_flips,
+    injection_campaign,
+    vectorized_checker,
+)
 
 
 @dataclass(frozen=True)
@@ -50,56 +63,53 @@ def range_invariant_checker(
 
     A bit flip in a high-order bit blows past the bound immediately;
     low-order flips escape — exactly the partial-coverage behaviour of
-    real invariant checkers.
-
-    Runs after every instruction, so it works on the interpreter's
-    plain-int register list directly (no per-step array construction).
+    real invariant checkers.  Vectorized: one step checks every row of
+    the interpreter's register matrix.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
-    neg_bound = -bound
 
-    def check(regs) -> bool:
-        return neg_bound < min(regs) and max(regs) < bound
+    def check(regs: np.ndarray) -> np.ndarray:
+        return (np.abs(regs) < bound).all(axis=1)
 
-    return check
+    return vectorized_checker(check)
 
 
 def relation_invariant_checker(
     max_jump: int = 1 << 24,
 ) -> Callable[[Sequence[int]], bool]:
     """Checks state-change magnitude between observations (a temporal
-    invariant: values evolve smoothly in this workload class)."""
+    invariant: values evolve smoothly in this workload class).
+
+    Vectorized: the previous observation is a per-row matrix, so one
+    instance serves a whole campaign.  The first observation of a batch
+    (or one of a different size) passes and only records the state.
+    """
     if max_jump <= 0:
         raise ValueError("max_jump must be positive")
     previous: list = [None]
 
-    def check(regs) -> bool:
+    def check(regs: np.ndarray) -> np.ndarray:
         prev = previous[0]
-        ok = True
-        if prev is not None:
-            for r, p in zip(regs, prev):
-                d = r - p
-                if d >= max_jump or -d >= max_jump:
-                    ok = False
-                    break
-        previous[0] = list(regs)
-        return ok
+        previous[0] = regs.copy()
+        if prev is None or prev.shape != regs.shape:
+            return np.ones(len(regs), dtype=bool)
+        return (np.abs(regs - prev) < max_jump).all(axis=1)
 
-    return check
+    return vectorized_checker(check)
 
 
 def dmr_checker_factory() -> Callable[[Sequence[int]], bool]:
     """DMR modeled as a perfect checker (duplicate always disagrees on
     any corrupted state)."""
 
-    def check(regs) -> bool:
+    def check(regs: np.ndarray) -> np.ndarray:
         # In a real DMR the duplicate pipeline recomputes; here, the
         # campaign substitutes outcome-level perfection: handled in
         # compare_protection_schemes via full-coverage accounting.
-        return True
+        return np.ones(len(regs), dtype=bool)
 
-    return check
+    return vectorized_checker(check)
 
 
 def default_schemes() -> list[ProtectionScheme]:
@@ -130,45 +140,48 @@ def compare_protection_schemes(
 ) -> dict[str, dict[str, float]]:
     """Run the fault campaign under each scheme (E19's table).
 
-    DMR is scored analytically (full coverage of non-masked faults);
-    invariant schemes run their checkers live.  Reports SDC rate,
-    coverage, energy overhead, and the efficiency figure of merit
-    (SDC reduction per unit energy overhead).  ``flips`` pins every
-    scheme to the same explicit flip set (deterministic comparisons);
-    each scheme already reuses ``rng`` from the same seed, so schemes
-    see identical flip sequences either way.
+    The flip set is drawn once from ``rng`` (or taken from ``flips``),
+    so every scheme sees the same faults whether ``rng`` is a seed or a
+    ``Generator``.  The unprotected baseline runs once, first; schemes
+    without a checker reuse it, and DMR is scored analytically from it
+    (full coverage of non-masked faults).  Invariant schemes run their
+    checkers live.  Reports SDC, detected and masked rates, coverage,
+    energy overhead, and — for every scheme with an overhead — the
+    efficiency figure of merit (SDC reduction per unit energy
+    overhead).
     """
     chosen = list(schemes) if schemes is not None else default_schemes()
     if not chosen:
         raise ValueError("need at least one scheme")
+    if flips is None:
+        flips = draw_flips(trace, n_injections, rng)
+    baseline = injection_campaign(trace, flips=flips)
     out: dict[str, dict[str, float]] = {}
-    baseline: CampaignResult | None = None
     for scheme in chosen:
         if scheme.name == "dmr":
-            base = baseline or injection_campaign(
-                trace, n_injections, checker=None, rng=rng, flips=flips
-            )
             sdc = 0.0
-            detected = base.rate(Outcome.SDC)
+            detected = baseline.rate(Outcome.SDC)
             coverage = 1.0
+            masked = baseline.rate(Outcome.MASKED)
         else:
-            result = injection_campaign(
-                trace, n_injections,
-                checker_factory=scheme.checker_factory, rng=rng,
-                flips=flips,
-            )
-            if scheme.name == "none":
-                baseline = result
+            result = baseline
+            if scheme.checker_factory is not None:
+                result = injection_campaign(
+                    trace, checker_factory=scheme.checker_factory,
+                    flips=flips,
+                )
             sdc = result.sdc_rate
             detected = result.rate(Outcome.DETECTED)
             coverage = result.coverage
+            masked = result.rate(Outcome.MASKED)
         record = {
             "sdc_rate": sdc,
             "detected_rate": detected,
             "coverage": coverage,
             "energy_overhead": scheme.energy_overhead,
+            "masked_rate": masked,
         }
-        if baseline is not None and scheme.energy_overhead > 0:
+        if scheme.energy_overhead > 0:
             reduction = baseline.sdc_rate - sdc
             record["sdc_reduction_per_overhead"] = (
                 reduction / scheme.energy_overhead

@@ -44,7 +44,7 @@ import numpy as np
 from ..core import instrument
 from ..core.events import Simulator
 from ..core.rng import resolve_rng
-from ..crosscut.faults import KernelFaultInjector, Outcome, injection_campaign
+from ..crosscut.faults import KernelFaultInjector
 from ..crosscut.invariants import compare_protection_schemes
 from ..exec.engine import ExecutionEngine, RunReport
 from ..exec.heartbeat import heartbeat
@@ -378,16 +378,16 @@ class ResilienceReport:
 def architectural_campaign(n_flips: int = 200, seed: int = 0) -> dict:
     """Bit-flip outcome rates, bare and per protection scheme (E19)."""
     trace = generate_trace(400, rng=seed)
-    base = injection_campaign(trace, n_injections=n_flips, rng=seed)
     schemes = compare_protection_schemes(
         trace, n_injections=n_flips, rng=seed
     )
+    base = schemes["none"]
     return {
         "n_flips": n_flips,
         "outcome_rates": {
-            "masked": base.rate(Outcome.MASKED),
-            "sdc": base.rate(Outcome.SDC),
-            "detected": base.rate(Outcome.DETECTED),
+            "masked": base["masked_rate"],
+            "sdc": base["sdc_rate"],
+            "detected": base["detected_rate"],
         },
         "schemes": schemes,
     }

@@ -6,9 +6,11 @@ import pytest
 from repro.crosscut import (
     Application,
     Outcome,
+    ProtectionScheme,
     TaintTracker,
     address_range_policy,
     compare_protection_schemes,
+    default_schemes,
     equal_partition,
     evaluate_partition,
     execute_registers,
@@ -49,6 +51,17 @@ class TestExecution:
         with pytest.raises(ValueError):
             execute_registers(trace, flip=(0, 0, 70))
 
+    @pytest.mark.parametrize("flip", [
+        (300, 3, 10), (-1, 3, 10),  # never reached by the trace
+        (300, 99, 0), (-1, 0, 70),  # bad register/bit out there too
+        (10, -1, 0), (10, 0, 63), (10, 0, -1),
+    ])
+    def test_flips_validated_up_front(self, trace, flip):
+        with pytest.raises(ValueError):
+            execute_registers(trace, flip=flip)
+        with pytest.raises(ValueError):
+            injection_campaign(trace, flips=[(5, 3, 10), flip])
+
 
 class TestCampaign:
     def test_outcome_partition(self, trace):
@@ -71,6 +84,11 @@ class TestCampaign:
         )
         assert result.outcomes[Outcome.DETECTED] > 0
         assert result.coverage > 0.5
+
+    def test_unreachable_flips_are_not_masked(self):
+        short = generate_trace(50, rng=0)
+        with pytest.raises(ValueError, match="outside the 50-instruction"):
+            injection_campaign(short, flips=[(500, 3, 10), (-1, 3, 10)])
 
     def test_validation(self, trace):
         with pytest.raises(ValueError):
@@ -111,6 +129,46 @@ class TestProtectionComparison:
     def test_validation(self, trace):
         with pytest.raises(ValueError):
             compare_protection_schemes(trace, schemes=[])
+
+    def test_identical_schemes_paired_under_generator(self, trace):
+        """A Generator is drawn from once, so every scheme sees the
+        same flips, not just under an int seed."""
+        tight = default_schemes()[2]
+        schemes = [
+            ProtectionScheme("none", 0.0, None),
+            ProtectionScheme("none_again", 0.0, None),
+            tight,
+            ProtectionScheme("tight_again", 0.06, tight.checker_factory),
+        ]
+        out = compare_protection_schemes(
+            trace, n_injections=200, schemes=schemes,
+            rng=np.random.default_rng(0),
+        )
+        assert out["none"] == out["none_again"]
+        assert out["invariant_tight"] == out["tight_again"]
+
+    def test_efficiency_independent_of_scheme_order(self, trace):
+        by_default = compare_protection_schemes(trace, 200, rng=0)
+        none, _, tight, dmr = default_schemes()
+        reordered = compare_protection_schemes(
+            trace, 200, schemes=[tight, none, dmr], rng=0
+        )
+        without_none = compare_protection_schemes(
+            trace, 200, schemes=[tight, dmr], rng=0
+        )
+        for out in (reordered, without_none):
+            for name in ("invariant_tight", "dmr"):
+                assert out[name] == by_default[name]
+                assert "sdc_reduction_per_overhead" in out[name]
+
+    def test_masked_rate_completes_the_partition(self, trace):
+        out = compare_protection_schemes(trace, 200, rng=0)
+        for name, row in out.items():
+            total = row["masked_rate"] + row["detected_rate"]
+            if name != "dmr":  # DMR reports baseline SDC as detected
+                total += row["sdc_rate"]
+            assert total == pytest.approx(1.0)
+        assert out["dmr"]["masked_rate"] == out["none"]["masked_rate"]
 
 
 class TestIFT:
